@@ -128,3 +128,29 @@ echo "openmetrics smoke: ok"
 # rewrites results/BENCH_broker.json (full runs do that).
 ./target/release/bench_broker --quick
 echo "bench_broker smoke: ok"
+
+# Benchmark smoke: perfbench's own tests, then every workload's seed-1
+# sim_digest against its pinned value. The digest hashes each prefix op's
+# simulated completion time and bytes and repeats exactly for a seed
+# whatever the run length, so a change that only speeds up the program
+# must leave it untouched. A pin changes only through a deliberate edit
+# here, noted in CHANGES.md.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for pin in put_small=a6c819149fddee90 put_window=51abc206cb902b4c \
+    broker_overload=f64e6083e87d34f6 fault_storm=f252942abd3c7ba2; do
+  workload="${pin%%=*}"
+  want="${pin#*=}"
+  got="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | python3 -c '
+import json, sys
+for line in sys.stdin:
+    obj = json.loads(line)
+    if "sim_digest" in obj:
+        print(obj["sim_digest"]["value"])
+')"
+  if [ "$got" != "$want" ]; then
+    echo "perfbench: $workload sim_digest $got, pinned $want" >&2; exit 1
+  fi
+  echo "perfbench: $workload sim_digest $got (pinned)"
+done
+echo "perfbench smoke: ok"

@@ -29,6 +29,11 @@ use std::time::Instant;
 
 const FLOW_COUNTS: [usize; 3] = [8, 64, 512];
 const REPEATS: usize = 3;
+/// Engines run back to back per timed sample of the flight-recorder
+/// cell, so a sample lasts ~10 ms — the scale its best-of-N estimate
+/// was sized for. One 512-flow engine takes ~2 ms, and this host's
+/// speed shifts by tens of percent over a few ms.
+const RECORDER_BATCHES: usize = 5;
 
 /// Cluster shape for the parallel cells: 32 disconnected 4-GPU nodes.
 const CLUSTER_NODES: usize = 32;
@@ -58,7 +63,7 @@ fn main() {
     let mut runs: Vec<Value> = Vec::new();
     for (name, topo) in &machines {
         for &flows in &FLOW_COUNTS {
-            let (events, secs) = measure(topo, flows, false, REPEATS);
+            let (events, secs) = measure(topo, flows, false, REPEATS, 1);
             let rate = events as f64 / secs;
             println!(
                 "{name:>8} {flows:>8} {events:>12} {:>12.2} {rate:>14.0}",
@@ -104,10 +109,17 @@ fn main() {
     }
 }
 
-/// Times one batch of `flows` contending flows, optionally with an
-/// always-on flight-recorder ring installed on the engine; returns
-/// (events processed, best-of-`reps` wall seconds).
-fn measure(topo: &Arc<Topology>, flows: usize, flight: bool, reps: usize) -> (u64, f64) {
+/// Times `batches` engines of `flows` contending flows each, run back to
+/// back, optionally with an always-on flight-recorder ring installed on
+/// every engine; returns (events processed per engine, best-of-`reps`
+/// wall seconds for the whole sample).
+fn measure(
+    topo: &Arc<Topology>,
+    flows: usize,
+    flight: bool,
+    reps: usize,
+    batches: usize,
+) -> (u64, f64) {
     // Spread flows round-robin over every directly linked GPU pair so
     // the fairness core sees real contention, and stagger sizes so each
     // completion triggers a recompute while many flows are still live.
@@ -125,19 +137,26 @@ fn measure(topo: &Arc<Topology>, flows: usize, flight: bool, reps: usize) -> (u6
     let mut best = f64::INFINITY;
     let mut events = 0;
     for rep in 0..=reps {
-        let eng = Engine::new(topo.clone());
-        if flight {
-            eng.set_recorder(FlightRecorder::default().recorder());
-        }
-        for i in 0..flows {
-            let link = pairs[i % pairs.len()];
-            let bytes = (1 << 20) + 4096 * i;
-            eng.start_flow(FlowSpec::new(vec![link], bytes), OnComplete::Nothing);
-        }
+        let engines: Vec<Engine> = (0..batches)
+            .map(|_| {
+                let eng = Engine::new(topo.clone());
+                if flight {
+                    eng.set_recorder(FlightRecorder::default().recorder());
+                }
+                for i in 0..flows {
+                    let link = pairs[i % pairs.len()];
+                    let bytes = (1 << 20) + 4096 * i;
+                    eng.start_flow(FlowSpec::new(vec![link], bytes), OnComplete::Nothing);
+                }
+                eng
+            })
+            .collect();
         let start = Instant::now();
-        eng.run_until_idle();
+        for eng in &engines {
+            eng.run_until_idle();
+        }
         let secs = start.elapsed().as_secs_f64();
-        events = eng.stats().events_processed;
+        events = engines[0].stats().events_processed;
         // First pass is warm-up.
         if rep > 0 && secs < best {
             best = secs;
@@ -252,21 +271,22 @@ fn flight_recorder_overhead_cell(reps: usize) -> Value {
     let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
     let mut events = 0;
     for _ in 0..reps.max(1) {
-        let (_, o) = measure(&topo, flows, false, 1);
+        let (_, o) = measure(&topo, flows, false, 1, RECORDER_BATCHES);
         off = off.min(o);
-        let (e, r) = measure(&topo, flows, true, 1);
+        let (e, r) = measure(&topo, flows, true, 1, RECORDER_BATCHES);
         on = on.min(r);
         events = e;
     }
     let pct = (on - off) / off * 100.0;
     println!(
-        "\nflight recorder overhead (beluga, {flows} flows): off {:.2} ms, on {:.2} ms ({pct:+.2}%)",
+        "\nflight recorder overhead (beluga, {RECORDER_BATCHES} x {flows} flows): off {:.2} ms, on {:.2} ms ({pct:+.2}%)",
         off * 1e3,
         on * 1e3
     );
     json!({
         "preset": "beluga",
         "flows": flows,
+        "engines": RECORDER_BATCHES,
         "events": events,
         "recorder_off_secs": off,
         "recorder_on_secs": on,

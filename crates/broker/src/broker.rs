@@ -518,7 +518,7 @@ impl Broker {
     /// observe the decrement and exit instead of deadlocking the sim.
     pub fn producer_done(&self) {
         self.producers.fetch_sub(1, Ordering::SeqCst);
-        self.ctx.runtime().engine().signal_waker(&self.work);
+        self.ctx.runtime().engine().post_waker(&self.work);
     }
 
     /// Replicates the context's effective path selection (the context's
@@ -715,7 +715,11 @@ impl Broker {
         let occ = occupancy(&shards, self.cfg.queue_depth);
         drop(shards);
         self.note_regime(occ);
-        engine.signal_waker(&self.work);
+        // Posted, not signaled: the scheduler runs only once this
+        // producer blocks, so it sees every submission made at this
+        // virtual time in one pass however the host schedules the two
+        // threads.
+        engine.post_waker(&self.work);
         Ok(Ticket { id, waker, state })
     }
 
@@ -793,7 +797,7 @@ impl Broker {
                     }
                 }
                 *state.lock() = Some(outcome);
-                engine.signal_waker(&waker);
+                engine.post_waker(&waker);
             }
             if idle && self.producers.load(Ordering::SeqCst) == 0 {
                 return;

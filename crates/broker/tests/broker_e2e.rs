@@ -219,6 +219,45 @@ fn coalesces_queued_same_pair_requests_and_drains_clean() {
     assert!(snap.get("broker.sojourn_secs.p99").unwrap() > 0.0);
 }
 
+/// Two submissions at one virtual time reach the scheduler in one pass
+/// however long the host takes between them: the scheduler is woken
+/// only once the client blocks. Had it run as soon as the first request
+/// landed, the two requests would ride separate flows.
+#[test]
+fn scheduler_passes_do_not_depend_on_host_timing() {
+    let ctx = context();
+    let engine = ctx.runtime().engine().clone();
+    let gpus = engine.topology().gpus();
+    let broker = Broker::new(ctx, BrokerConfig::default(), tenants());
+    broker.set_producers(1);
+    let sched_thread = engine.register_thread("broker-sched");
+    let client_thread = engine.register_thread("client");
+
+    std::thread::scope(|s| {
+        let b = broker.clone();
+        s.spawn(move || b.run(sched_thread));
+        let b = broker.clone();
+        s.spawn(move || {
+            // Let the scheduler park on an empty queue first.
+            client_thread.sleep(1e-6);
+            let first = b.submit("gold", gpus[0], gpus[1], 256 << 10).unwrap();
+            // Ample host time for a woken scheduler to run a pass.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let second = b.submit("gold", gpus[0], gpus[1], 256 << 10).unwrap();
+            b.producer_done();
+            for t in [first, second] {
+                assert!(matches!(t.wait(&client_thread), Outcome::Completed { .. }));
+            }
+            drop(client_thread);
+        });
+    });
+
+    let s = broker.stats();
+    assert_eq!(s.completed, 2);
+    assert_eq!(s.dispatches, 1, "the scheduler saw the requests apart");
+    assert_eq!(s.coalesced, 1);
+}
+
 #[test]
 fn entering_shed_regime_fires_the_anomaly_sink() {
     let ctx = context();

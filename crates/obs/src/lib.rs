@@ -57,4 +57,4 @@ pub use perfetto::{export_chrome_trace, phases_present};
 pub use registry::{MetricEntry, MetricsSnapshot, TelemetryRegistry};
 pub use residual::{PairResidual, ResidualReport, ResidualRow, ResidualTracker};
 pub use ring::{FlightRecorder, DEFAULT_RING_CAPACITY};
-pub use span::{Event, InstantRecord, Phase, Recorder, SpanRecord};
+pub use span::{DeferredEvents, Event, InstantRecord, Phase, Recorder, SpanRecord};

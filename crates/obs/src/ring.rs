@@ -5,17 +5,18 @@
 //! (see [`Recorder::with_capacity`]), so it installs anywhere a plain
 //! recorder does — `Engine::set_recorder`, `UcxContext`, the broker —
 //! while guaranteeing bounded memory no matter how long the process
-//! runs: once a thread's ring fills, the oldest event is overwritten
-//! and counted. [`FlightRecorder::snapshot`] clones the rings without
+//! runs: once a thread's ring fills, the oldest entry is overwritten
+//! and its events counted. [`FlightRecorder::snapshot`] clones the rings without
 //! stopping recording; [`FlightRecorder::snapshot_last`] trims that to
 //! the trailing window of virtual time — "the last N seconds before
 //! the anomaly".
 
 use crate::span::{Event, Recorder};
 
-/// Default per-thread ring capacity: generous enough to hold several
-/// seconds of the busiest instrumented workloads, small enough
-/// (~hundreds of KB per thread) to leave always-on.
+/// Default per-thread ring capacity, in entries (a completed flow's
+/// spans are one entry): generous enough to hold several seconds of the
+/// busiest instrumented workloads, small enough (~hundreds of KB per
+/// thread) to leave always-on.
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
 
 /// An always-on, bounded-memory telemetry recorder.

@@ -7,6 +7,11 @@
 //! serialized until [`Recorder::drain`]. Timestamps are **virtual-time
 //! seconds** from the simulation clock, so spans line up exactly with the
 //! engine's flow trace.
+//!
+//! The hottest recording site, the simulator's per-flow spans, goes one
+//! step further: it hands the recorder the raw facts of a completed flow
+//! ([`Recorder::defer`]), and their text is formatted only if the buffer
+//! is ever read.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -170,33 +175,95 @@ impl Event {
     }
 }
 
+/// Raw telemetry, rendered into [`Event`]s only when a recorder's buffer
+/// is read ([`Recorder::drain`], [`Recorder::snapshot`]). A hot path
+/// records facts it already owns — moved in, not copied or formatted —
+/// and pays for text only if someone reads the ring.
+pub trait DeferredEvents: Send + Sync {
+    /// How many events [`DeferredEvents::render`] appends.
+    fn count(&self) -> usize;
+    /// Appends the rendered events to `out`.
+    fn render(&self, out: &mut Vec<Event>);
+}
+
+/// One buffered entry: a ready event, or a deferred batch. Both are
+/// boxed, keeping the ring's slots small.
+enum Entry {
+    Ready(Box<Event>),
+    Deferred(Box<dyn DeferredEvents>),
+}
+
+impl Entry {
+    fn count(&self) -> usize {
+        match self {
+            Entry::Ready(_) => 1,
+            Entry::Deferred(d) => d.count(),
+        }
+    }
+
+    fn render_into(&self, out: &mut Vec<Event>) {
+        match self {
+            Entry::Ready(ev) => out.push((**ev).clone()),
+            Entry::Deferred(d) => d.render(out),
+        }
+    }
+
+    fn into_events(self, out: &mut Vec<Event>) {
+        match self {
+            Entry::Ready(ev) => out.push(*ev),
+            Entry::Deferred(d) => d.render(out),
+        }
+    }
+}
+
 /// Process-unique recorder ids, so a thread-local buffer cached for one
 /// recorder is never mistaken for another's.
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
 /// One thread's event buffer. In unbounded mode `head` stays 0 and
-/// `events` grows; in ring mode (a recorder built with
-/// [`Recorder::with_capacity`]) `events` is capped and `head` is the
+/// `entries` grows; in ring mode (a recorder built with
+/// [`Recorder::with_capacity`]) `entries` is capped and `head` is the
 /// oldest slot — the next one overwritten.
 struct RingBuf {
-    events: Vec<Event>,
+    entries: Vec<Entry>,
     head: usize,
 }
 
 impl RingBuf {
-    /// The buffered events, oldest first, leaving the buffer empty.
-    fn take(&mut self) -> Vec<Event> {
-        let mut out = std::mem::take(&mut self.events);
-        out.rotate_left(self.head);
+    /// Renders the buffered entries, oldest first, into `out`, leaving
+    /// the buffer empty.
+    fn take_into(&mut self, out: &mut Vec<Event>) {
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.rotate_left(self.head);
         self.head = 0;
-        out
+        for e in entries {
+            e.into_events(out);
+        }
     }
 
-    /// Clones the buffered events, oldest first, without consuming.
-    fn peek(&self) -> Vec<Event> {
-        let mut out = self.events.clone();
-        out.rotate_left(self.head);
-        out
+    /// Renders the buffered entries, oldest first, into `out`, without
+    /// consuming them.
+    fn peek_into(&self, out: &mut Vec<Event>) {
+        let (newer, older) = self.entries.split_at(self.head);
+        for e in older.iter().chain(newer) {
+            e.render_into(out);
+        }
+    }
+
+    /// Appends `entry`, overwriting the oldest entry once `capacity` is
+    /// reached. Returns the number of events overwritten.
+    fn push(&mut self, capacity: Option<usize>, entry: Entry) -> usize {
+        match capacity {
+            Some(cap) if self.entries.len() >= cap => {
+                let head = self.head;
+                self.head = (head + 1) % cap;
+                std::mem::replace(&mut self.entries[head], entry).count()
+            }
+            _ => {
+                self.entries.push(entry);
+                0
+            }
+        }
     }
 }
 
@@ -219,6 +286,18 @@ struct RecorderInner {
     recorded: AtomicU64,
     /// Events lost to ring overwrites (always 0 in unbounded mode).
     overwritten: AtomicU64,
+}
+
+impl Drop for RecorderInner {
+    /// Frees every thread's buffered events now. The threads' local
+    /// caches hold their (now empty) buffers until those threads next
+    /// register one; without this, every recorder a thread ever used
+    /// would keep its events alive until the thread exits.
+    fn drop(&mut self) {
+        for buf in self.buffers.get_mut().drain(..) {
+            buf.lock().entries = Vec::new();
+        }
+    }
 }
 
 /// Shared telemetry sink. Clone freely; clones record into the same
@@ -244,8 +323,10 @@ impl Recorder {
     }
 
     /// A ring-mode recorder: each recording thread keeps at most
-    /// `capacity_per_thread` events, overwriting the oldest once full
-    /// (counted in [`Recorder::overwritten`]). This is the always-on
+    /// `capacity_per_thread` entries — one per [`Recorder::span`] or
+    /// [`Recorder::instant`], one per [`Recorder::defer`] batch —
+    /// overwriting the oldest once full (the events lost are counted in
+    /// [`Recorder::overwritten`]). This is the always-on
     /// flight-recorder mode — memory is bounded no matter how long the
     /// process runs.
     ///
@@ -278,14 +359,24 @@ impl Recorder {
         end: f64,
         detail: impl Into<String>,
     ) {
-        self.push(Event::Span(SpanRecord {
-            name: name.into(),
-            track: track.into(),
-            phase,
-            start,
-            end: end.max(start),
-            detail: detail.into(),
-        }));
+        self.push(
+            1,
+            Entry::Ready(Box::new(Event::Span(SpanRecord {
+                name: name.into(),
+                track: track.into(),
+                phase,
+                start,
+                end: end.max(start),
+                detail: detail.into(),
+            }))),
+        );
+    }
+
+    /// Records a batch of events whose rendering is deferred until the
+    /// buffer is read. The batch takes one ring entry.
+    pub fn defer(&self, events: Box<dyn DeferredEvents>) {
+        let count = events.count() as u64;
+        self.push(count, Entry::Deferred(events));
     }
 
     /// Records a point event.
@@ -297,13 +388,16 @@ impl Recorder {
         at: f64,
         detail: impl Into<String>,
     ) {
-        self.push(Event::Instant(InstantRecord {
-            name: name.into(),
-            track: track.into(),
-            phase,
-            at,
-            detail: detail.into(),
-        }));
+        self.push(
+            1,
+            Entry::Ready(Box::new(Event::Instant(InstantRecord {
+                name: name.into(),
+                track: track.into(),
+                phase,
+                at,
+                detail: detail.into(),
+            }))),
+        );
     }
 
     /// Total events recorded so far (all threads), overwritten ones
@@ -314,7 +408,7 @@ impl Recorder {
 
     /// Events lost to ring overwrites (0 for unbounded recorders). A
     /// nonzero value means [`Recorder::drain`]/[`Recorder::snapshot`]
-    /// see only the newest `capacity_per_thread` events per thread.
+    /// see only the newest `capacity_per_thread` entries per thread.
     pub fn overwritten(&self) -> u64 {
         self.inner.overwritten.load(Ordering::Relaxed)
     }
@@ -333,7 +427,7 @@ impl Recorder {
         let buffers = self.inner.buffers.lock();
         let mut out = Vec::new();
         for buf in buffers.iter() {
-            out.extend(buf.lock().take());
+            buf.lock().take_into(&mut out);
         }
         drop(buffers);
         sort_events_canonical(&mut out);
@@ -348,22 +442,25 @@ impl Recorder {
         let buffers = self.inner.buffers.lock();
         let mut out = Vec::new();
         for buf in buffers.iter() {
-            out.extend(buf.lock().peek());
+            buf.lock().peek_into(&mut out);
         }
         drop(buffers);
         sort_events_canonical(&mut out);
         out
     }
 
-    fn push(&self, ev: Event) {
-        self.inner.recorded.fetch_add(1, Ordering::Relaxed);
+    fn push(&self, count: u64, entry: Entry) {
+        self.inner.recorded.fetch_add(count, Ordering::Relaxed);
         LOCAL_BUFFERS.with(|cache| {
             let mut cache = cache.borrow_mut();
             let buf = match cache.iter().position(|(id, _)| *id == self.inner.id) {
                 Some(i) => &cache[i].1,
                 None => {
+                    // Forget the buffers of dropped recorders (the cache
+                    // holds the only reference).
+                    cache.retain(|(_, buf)| Arc::strong_count(buf) > 1);
                     let buf = Arc::new(Mutex::new(RingBuf {
-                        events: Vec::new(),
+                        entries: Vec::new(),
                         head: 0,
                     }));
                     self.inner.buffers.lock().push(buf.clone());
@@ -371,15 +468,11 @@ impl Recorder {
                     &cache.last().expect("just pushed").1
                 }
             };
-            let mut b = buf.lock();
-            match self.inner.capacity {
-                Some(cap) if b.events.len() >= cap => {
-                    let head = b.head;
-                    b.events[head] = ev;
-                    b.head = (head + 1) % cap;
-                    self.inner.overwritten.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => b.events.push(ev),
+            let lost = buf.lock().push(self.inner.capacity, entry);
+            if lost > 0 {
+                self.inner
+                    .overwritten
+                    .fetch_add(lost as u64, Ordering::Relaxed);
             }
         });
     }
@@ -556,6 +649,72 @@ mod tests {
         let json = serde_json::to_string(&evs).unwrap();
         let back: Vec<Event> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, evs);
+    }
+
+    /// A deferred batch of two spans at `at`; flags its own drop.
+    struct Pair {
+        at: f64,
+        dropped: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl DeferredEvents for Pair {
+        fn count(&self) -> usize {
+            2
+        }
+        fn render(&self, out: &mut Vec<Event>) {
+            for track in ["lane", "link"] {
+                out.push(Event::Span(SpanRecord {
+                    name: "pair".into(),
+                    track: track.into(),
+                    phase: Phase::ChunkLeg,
+                    start: self.at,
+                    end: self.at + 1.0,
+                    detail: String::new(),
+                }));
+            }
+        }
+    }
+
+    impl Drop for Pair {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn pair(at: f64) -> (Box<Pair>, Arc<std::sync::atomic::AtomicBool>) {
+        let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let p = Pair {
+            at,
+            dropped: dropped.clone(),
+        };
+        (Box::new(p), dropped)
+    }
+
+    #[test]
+    fn deferred_batch_renders_on_read_and_takes_one_ring_entry() {
+        let r = Recorder::with_capacity(2);
+        r.defer(pair(1.0).0);
+        r.instant(Phase::Plan, "t", "plan", 0.5, "");
+        assert_eq!(r.events_recorded(), 3);
+        let tracks: Vec<String> = r.snapshot().iter().map(|e| e.track().to_string()).collect();
+        assert_eq!(tracks, ["t", "lane", "link"]);
+        // A third entry evicts the batch, losing both of its events.
+        r.instant(Phase::Plan, "t", "late", 2.0, "");
+        assert_eq!(r.overwritten(), 2);
+        let names: Vec<String> = r.drain().iter().map(|e| e.name().to_string()).collect();
+        assert_eq!(names, ["plan", "late"]);
+    }
+
+    #[test]
+    fn dropping_a_recorder_frees_its_buffered_events() {
+        let r = Recorder::new();
+        let (batch, dropped) = pair(0.0);
+        r.defer(batch);
+        assert!(!dropped.load(Ordering::Relaxed));
+        // This thread's buffer cache still knows the buffer; the events
+        // must go with the recorder anyway.
+        drop(r);
+        assert!(dropped.load(Ordering::Relaxed));
     }
 
     #[test]

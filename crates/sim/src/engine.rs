@@ -17,8 +17,16 @@
 //!
 //! A transfer is a *flow*: a byte count draining over a route of directed
 //! links at the max-min fair rate (see [`crate::fairness`]). Rates are
-//! recomputed whenever the set of active flows changes; in-flight
-//! completion events are invalidated by a per-flow generation counter.
+//! recomputed whenever the set of active flows changes.
+//!
+//! Live flows sit in a dense slab whose slots are reused through a free
+//! list, so memory tracks the peak number of concurrently live flows,
+//! not the number ever issued. Each flow has at most one pending
+//! completion, held in an indexed min-heap keyed by `(time, seq)`: a rate
+//! change re-keys the flow's entry in place under a fresh `seq`, and a
+//! stall removes it. The event loop pops the earlier of that heap's top
+//! and the timer/activation queue's top, so no superseded completion is
+//! ever queued or popped.
 //!
 //! # Callbacks
 //!
@@ -27,16 +35,18 @@
 //! must never touch the public blocking API — doing so would deadlock.
 
 use crate::fairness::{FairShareScratch, FlowDemand};
+use crate::pending::CompletionQueue;
 use crate::time::SimTime;
 use crate::waker::Waker;
-use mpx_obs::{Phase, Recorder};
+use mpx_obs::{DeferredEvents, Event as ObsEvent, Phase, Recorder, SpanRecord};
 use mpx_topo::units::Secs;
 use mpx_topo::{LinkId, Topology};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// Deterministic latency noise: every flow's startup latency is scaled
@@ -242,13 +252,13 @@ impl StatsSnapshot {
 }
 
 struct FlowState {
+    /// Engine-wide flow id: the canonical sort key within a component.
+    id: FlowId,
     route: Vec<LinkId>,
     demand: FlowDemand,
     remaining: f64,
     rate: f64,
     last_update: SimTime,
-    generation: u64,
-    active: bool,
     /// True while a down link on the route holds the flow at rate zero.
     stalled: bool,
     /// Visit stamp for connected-component discovery (`State::comp_epoch`).
@@ -260,10 +270,61 @@ struct FlowState {
     label: String,
 }
 
+/// Live flows, addressed by slot. A completed flow's slot goes on a free
+/// list and is handed to the next issued flow.
+#[derive(Default)]
+struct FlowSlab {
+    slots: Vec<Option<FlowState>>,
+    free: Vec<u32>,
+    live: usize,
+}
+
+impl FlowSlab {
+    fn insert(&mut self, fs: FlowState) -> u32 {
+        self.live += 1;
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(fs);
+                slot
+            }
+            None => {
+                self.slots.push(Some(fs));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    fn remove(&mut self, slot: u32) -> FlowState {
+        let fs = self.slots[slot as usize].take().expect("vacant flow slot");
+        self.free.push(slot);
+        self.live -= 1;
+        fs
+    }
+}
+
+impl Index<u32> for FlowSlab {
+    type Output = FlowState;
+    fn index(&self, slot: u32) -> &FlowState {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("vacant flow slot")
+    }
+}
+
+impl IndexMut<u32> for FlowSlab {
+    fn index_mut(&mut self, slot: u32) -> &mut FlowState {
+        self.slots[slot as usize]
+            .as_mut()
+            .expect("vacant flow slot")
+    }
+}
+
+/// Timer and activation events. Flow completions live in the separate
+/// [`CompletionQueue`]; both draw `seq` from one counter.
 enum Event {
     Timer(OnComplete),
-    FlowActivate(FlowId),
-    FlowComplete(FlowId, u64),
+    /// Activation of the flow in this slot.
+    FlowActivate(u32),
 }
 
 struct QueuedEvent {
@@ -296,10 +357,15 @@ struct State {
     /// may be degraded at runtime.
     capacities: Vec<f64>,
     queue: BinaryHeap<Reverse<QueuedEvent>>,
-    flows: HashMap<FlowId, FlowState>,
+    /// At most one pending completion per active, unstalled flow.
+    completions: CompletionQueue,
+    flows: FlowSlab,
     next_flow: u64,
     registered: usize,
     blocked: usize,
+    /// Wakers posted by running threads, fired at the next quorum (see
+    /// [`Engine::post_waker`]).
+    posted: Vec<Waker>,
     poisoned: bool,
     link_stats: Vec<LinkStats>,
     flows_issued: u64,
@@ -307,16 +373,18 @@ struct State {
     events_processed: u64,
     trace: Option<Vec<TraceRecord>>,
     jitter: Option<(JitterModel, StdRng)>,
-    /// Active flows per link (by link index); maintained on activation
-    /// and completion, and the adjacency for component discovery.
-    link_flows: Vec<Vec<FlowId>>,
+    /// Active flow slots per link (by link index); maintained on
+    /// activation and completion, and the adjacency for component
+    /// discovery.
+    link_flows: Vec<Vec<u32>>,
     /// Persistent allocator scratch: recomputation allocates nothing in
     /// steady state.
     fair: FairShareScratch,
     /// Component scratch: links found (doubles as the BFS worklist).
     comp_links: Vec<usize>,
-    /// Component scratch: member flows, sorted for canonical float order.
-    comp_flows: Vec<FlowId>,
+    /// Component scratch: member flows as `(id, slot)`, sorted by id for
+    /// canonical float order.
+    comp_flows: Vec<(FlowId, u32)>,
     /// Link visit stamps for component discovery.
     link_mark: Vec<u64>,
     comp_epoch: u64,
@@ -324,8 +392,8 @@ struct State {
     rates_scratch: Vec<f64>,
     /// Component members that are *not* stalled — the allocator's actual
     /// input (stalled flows must never reach it: their down links carry a
-    /// zero capacity the fair-share code rejects).
-    comp_live: Vec<FlowId>,
+    /// zero capacity the fair-share code rejects). Slots, in id order.
+    comp_live: Vec<u32>,
     /// Per-link down flags (capacity forced to zero).
     down: Vec<bool>,
     /// Capacity stashed when a link went down, restored on recovery.
@@ -340,10 +408,9 @@ struct State {
     /// Telemetry sink; when present, every completed flow becomes a span
     /// on its lane track and on each link it crossed (see `mpx-obs`).
     recorder: Option<Recorder>,
-    /// Pre-rendered `link:src->dst` track names, indexed by link id —
-    /// cloning one is cheaper than re-formatting it per recorded span,
-    /// which keeps the always-on flight recorder off the hot path's back.
-    link_tracks: Vec<String>,
+    /// `link:src->dst` track names, indexed by link id, shared with every
+    /// recorded [`FlowSpans`].
+    link_tracks: Arc<[String]>,
 }
 
 struct Shared {
@@ -465,7 +532,7 @@ impl Engine {
     pub fn with_tracing(topo: Arc<Topology>, trace: bool) -> Engine {
         let nlinks = topo.link_count();
         let capacities: Vec<f64> = topo.links.iter().map(|l| l.bandwidth).collect();
-        let link_tracks: Vec<String> = topo
+        let link_tracks: Arc<[String]> = topo
             .links
             .iter()
             .map(|l| format!("link:{}->{}", l.src, l.dst))
@@ -478,10 +545,12 @@ impl Engine {
                     seq: 0,
                     capacities,
                     queue: BinaryHeap::new(),
-                    flows: HashMap::new(),
+                    completions: CompletionQueue::default(),
+                    flows: FlowSlab::default(),
                     next_flow: 0,
                     registered: 0,
                     blocked: 0,
+                    posted: Vec::new(),
                     poisoned: false,
                     link_stats: vec![LinkStats::default(); nlinks],
                     flows_issued: 0,
@@ -686,6 +755,26 @@ impl Engine {
         self.shared.cv.notify_all();
     }
 
+    /// Fires a waker once every registered thread is blocked, rather than
+    /// immediately (non-blocking; callable from any thread). Whatever
+    /// else the posting thread does at this virtual time lands before
+    /// the woken thread runs, and repeated posts in between coalesce into
+    /// one wake-up. So a thread woken this way sees the same state, and
+    /// loops the same number of times, however the host schedules the
+    /// two threads — unlike [`Engine::signal_waker`], where the woken
+    /// thread may run alongside the signaler and see only part of its
+    /// work.
+    pub fn post_waker(&self, w: &Waker) {
+        let mut st = self.shared.state.lock();
+        if st.blocked == st.registered {
+            // Nobody registered is running: deliver now.
+            fire_waker(&mut st, w);
+            self.shared.cv.notify_all();
+        } else if !st.posted.iter().any(|p| p.same_as(w)) {
+            st.posted.push(w.clone());
+        }
+    }
+
     /// Injects a flow (non-blocking). `done` fires when it completes.
     pub fn start_flow(&self, spec: FlowSpec, done: OnComplete) -> FlowId {
         let mut st = self.shared.state.lock();
@@ -721,8 +810,7 @@ impl Engine {
         );
         let before = st.events_processed;
         loop {
-            let next = st.queue.peek().map(|Reverse(qe)| qe.at);
-            match next {
+            match next_event_at(&st) {
                 Some(at) if at <= deadline => {
                     if !process_next_event(&mut st, &self.shared.topo) {
                         break;
@@ -769,7 +857,24 @@ impl Engine {
 
     /// Number of flows currently in flight.
     pub fn active_flows(&self) -> usize {
-        self.shared.state.lock().flows.len()
+        self.shared.state.lock().flows.live
+    }
+
+    /// Events queued and not yet processed: timers, flow activations and
+    /// flow completions. Every one of them is live — a flow holds at most
+    /// one pending completion, and none while stalled — so with no timers
+    /// or activations outstanding this never exceeds
+    /// [`Engine::active_flows`].
+    pub fn pending_events(&self) -> usize {
+        let st = self.shared.state.lock();
+        st.queue.len() + st.completions.len()
+    }
+
+    /// Flow slots the engine has allocated. Slots of completed flows are
+    /// reused, so this tracks the peak number of flows in flight at once,
+    /// not the number ever issued.
+    pub fn flow_slots(&self) -> usize {
+        self.shared.state.lock().flows.slots.len()
     }
 
     fn block_on(&self, waker: &Waker, who: &str) {
@@ -790,6 +895,14 @@ impl Engine {
                 panic!("simulation engine poisoned (earlier deadlock)");
             }
             if st.blocked == st.registered {
+                if !st.posted.is_empty() {
+                    // Posted wake-ups go out before virtual time moves on.
+                    for w in std::mem::take(&mut st.posted) {
+                        fire_waker(&mut st, &w);
+                    }
+                    sh.cv.notify_all();
+                    continue;
+                }
                 if !process_next_event(&mut st, &sh.topo) {
                     st.poisoned = true;
                     sh.cv.notify_all();
@@ -914,10 +1027,103 @@ fn lane_of(label: &str) -> String {
     parts.join(".")
 }
 
+/// A completed flow's telemetry, kept raw until the recorder is read:
+/// it renders as a span on the flow's lane track plus one on each link
+/// it crossed. Recording it moves the flow's label and route instead of
+/// formatting text nobody may read.
+struct FlowSpans {
+    id: FlowId,
+    label: String,
+    route: Vec<LinkId>,
+    /// Distinct links on the route.
+    links: usize,
+    bytes: usize,
+    start: SimTime,
+    end: SimTime,
+    link_tracks: Arc<[String]>,
+}
+
+impl FlowSpans {
+    /// Takes the label and route out of a departing flow.
+    fn take(fs: &mut FlowState, end: SimTime, link_tracks: &Arc<[String]>) -> FlowSpans {
+        FlowSpans {
+            id: fs.id,
+            label: std::mem::take(&mut fs.label),
+            route: std::mem::take(&mut fs.route),
+            links: fs.demand.links.len(),
+            bytes: fs.bytes,
+            start: if fs.activated == SimTime::NEVER {
+                fs.issued
+            } else {
+                fs.activated
+            },
+            end,
+            link_tracks: link_tracks.clone(),
+        }
+    }
+}
+
+impl DeferredEvents for FlowSpans {
+    fn count(&self) -> usize {
+        1 + self.links
+    }
+
+    fn render(&self, out: &mut Vec<ObsEvent>) {
+        let name = if self.label.is_empty() {
+            format!("flow{}", self.id.0)
+        } else {
+            self.label.clone()
+        };
+        // Probe flows carry a `probe` label prefix; everything else on
+        // the fabric is a chunk leg (or direct-path flow) of a transfer.
+        let phase = if name.starts_with("probe") {
+            Phase::Probe
+        } else {
+            Phase::ChunkLeg
+        };
+        let detail = format!("{} bytes", self.bytes);
+        let span = |track: String| {
+            ObsEvent::Span(SpanRecord {
+                name: name.clone(),
+                track,
+                phase,
+                start: self.start.as_secs(),
+                end: self.end.as_secs(),
+                detail: detail.clone(),
+            })
+        };
+        out.push(span(lane_of(&name)));
+        // One span per distinct link, in link-index order.
+        let mut links: Vec<usize> = self.route.iter().map(|l| l.index()).collect();
+        links.sort_unstable();
+        links.dedup();
+        out.extend(links.into_iter().map(|l| span(self.link_tracks[l].clone())));
+    }
+}
+
 fn push_event(st: &mut State, at: SimTime, ev: Event) {
     let seq = st.seq;
     st.seq += 1;
     st.queue.push(Reverse(QueuedEvent { at, seq, ev }));
+}
+
+/// (Re)schedules the completion of the flow in `slot`. It takes a fresh
+/// `seq` exactly as a newly pushed event would, so the event order is the
+/// same as if the old entry had been left behind and skipped.
+fn schedule_completion(st: &mut State, slot: u32, at: SimTime) {
+    let seq = st.seq;
+    st.seq += 1;
+    st.completions.schedule(slot, at, seq);
+}
+
+/// Time of the earliest queued event of either kind.
+fn next_event_at(st: &State) -> Option<SimTime> {
+    let timer = st.queue.peek().map(|Reverse(qe)| qe.at);
+    let completion = st.completions.peek().map(|p| p.at);
+    match (timer, completion) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 fn fire_waker(st: &mut State, w: &Waker) {
@@ -1020,27 +1226,23 @@ fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnCo
         st.link_stats[l].flows += 1;
     }
     let now = st.now;
-    st.flows.insert(
+    let slot = st.flows.insert(FlowState {
         id,
-        FlowState {
-            route: spec.route,
-            demand,
-            remaining: spec.bytes as f64,
-            rate: 0.0,
-            last_update: now,
-            generation: 0,
-            active: false,
-            stalled: false,
-            comp_mark: 0,
-            done,
-            bytes: spec.bytes,
-            issued: now,
-            activated: SimTime::NEVER,
-            label: spec.label,
-        },
-    );
+        route: spec.route,
+        demand,
+        remaining: spec.bytes as f64,
+        rate: 0.0,
+        last_update: now,
+        stalled: false,
+        comp_mark: 0,
+        done,
+        bytes: spec.bytes,
+        issued: now,
+        activated: SimTime::NEVER,
+        label: spec.label,
+    });
     let at = now.after(latency);
-    push_event(st, at, Event::FlowActivate(id));
+    push_event(st, at, Event::FlowActivate(slot));
     id
 }
 
@@ -1052,10 +1254,9 @@ fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnCo
 /// keeps accruing linearly at the unchanged rate. Within the component,
 /// progress is drained to `st.now` first, then rates are recomputed with
 /// the persistent [`FairShareScratch`] (no allocation in steady state).
-/// Only flows whose rate *actually changed* get a generation bump and a
-/// fresh completion event; a flow whose fair share came out identical
-/// keeps its already-queued event, so steady traffic does not churn the
-/// queue.
+/// Only flows whose rate *actually changed* get their completion re-keyed
+/// (under a fresh `seq`); a flow whose fair share came out identical
+/// keeps its pending completion untouched.
 fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
     st.comp_epoch += 1;
     let epoch = st.comp_epoch;
@@ -1074,13 +1275,13 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
         let l = st.comp_links[cursor];
         cursor += 1;
         for i in 0..st.link_flows[l].len() {
-            let id = st.link_flows[l][i];
-            let fs = st.flows.get_mut(&id).expect("link lists a missing flow");
+            let slot = st.link_flows[l][i];
+            let fs = &mut st.flows[slot];
             if fs.comp_mark == epoch {
                 continue;
             }
             fs.comp_mark = epoch;
-            st.comp_flows.push(id);
+            st.comp_flows.push((fs.id, slot));
             for &(l2, _) in &fs.demand.links {
                 if st.link_mark[l2] != epoch {
                     st.link_mark[l2] = epoch;
@@ -1099,8 +1300,7 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
     let now = st.now;
     // 1. Drain elapsed progress for component members.
     for i in 0..st.comp_flows.len() {
-        let id = st.comp_flows[i];
-        let fs = st.flows.get_mut(&id).expect("flow disappeared");
+        let fs = &mut st.flows[st.comp_flows[i].1];
         let dt = now.secs_since(fs.last_update);
         if dt > 0.0 && fs.rate > 0.0 {
             let drained = (fs.rate * dt).min(fs.remaining);
@@ -1112,13 +1312,14 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
         fs.last_update = now;
     }
     // 2. Partition out stalled flows. A flow crossing any down link is
-    // parked at rate zero (its queued completion event is invalidated by
-    // the generation bump) and excluded from the allocator, which must
+    // parked at rate zero (its pending completion is dropped) and
+    // excluded from the allocator, which must
     // only ever see live links with positive capacity. With no link down
     // this is a straight memcpy of the component.
     {
         let State {
             flows,
+            completions,
             comp_flows,
             comp_live,
             down,
@@ -1128,8 +1329,8 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
         } = st;
         comp_live.clear();
         if *any_down {
-            for &id in comp_flows.iter() {
-                let fs = flows.get_mut(&id).expect("flow disappeared");
+            for &(_, slot) in comp_flows.iter() {
+                let fs = &mut flows[slot];
                 if fs.demand.links.iter().any(|&(l, _)| down[l]) {
                     if !fs.stalled {
                         fs.stalled = true;
@@ -1137,15 +1338,15 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
                     }
                     if fs.rate != 0.0 {
                         fs.rate = 0.0;
-                        fs.generation += 1;
+                        completions.remove(slot);
                     }
                 } else {
                     fs.stalled = false;
-                    comp_live.push(id);
+                    comp_live.push(slot);
                 }
             }
         } else {
-            comp_live.extend_from_slice(comp_flows);
+            comp_live.extend(comp_flows.iter().map(|&(_, slot)| slot));
         }
     }
     // 3. Fair-share rates for the live members, straight out of the
@@ -1162,36 +1363,36 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
         fair.compute_with(
             capacities,
             comp_live.len(),
-            |i| &flows[&comp_live[i]].demand,
+            |i| &flows[comp_live[i]].demand,
             rates_scratch,
         );
     }
-    // 4. Apply; reschedule only where the rate moved.
+    // 4. Apply; re-key only where the rate moved.
     for i in 0..st.comp_live.len() {
-        let id = st.comp_live[i];
+        let slot = st.comp_live[i];
         let rate = st.rates_scratch[i];
-        let fs = st.flows.get_mut(&id).expect("flow disappeared");
+        let fs = &mut st.flows[slot];
         if rate == fs.rate {
-            continue; // queued completion event is still exact
+            continue; // pending completion is still exact
         }
         fs.rate = rate;
-        fs.generation += 1;
-        let gen = fs.generation;
         let eta = if fs.remaining <= 0.0 {
             0.0
         } else {
             fs.remaining / rate
         };
-        push_event(st, now.after(eta), Event::FlowComplete(id, gen));
+        schedule_completion(st, slot, now.after(eta));
     }
 }
 
-fn complete_flow(st: &mut State, topo: &Topology, id: FlowId) {
-    let mut fs = st.flows.remove(&id).expect("completing unknown flow");
+fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
+    debug_assert!(!st.completions.contains(slot), "completion still pending");
+    let mut fs = st.flows.remove(slot);
+    let id = fs.id;
     // Leave the fabric. Zero-byte flows complete without ever having
     // registered on their links, so absence is tolerated.
     for &(l, _) in &fs.demand.links {
-        if let Some(pos) = st.link_flows[l].iter().position(|&f| f == id) {
+        if let Some(pos) = st.link_flows[l].iter().position(|&f| f == slot) {
             st.link_flows[l].swap_remove(pos);
         }
     }
@@ -1201,48 +1402,19 @@ fn complete_flow(st: &mut State, topo: &Topology, id: FlowId) {
     }
     fs.remaining = 0.0;
     st.flows_completed += 1;
-    if let Some(rec) = st.recorder.as_ref() {
-        let label = if fs.label.is_empty() {
-            format!("flow{}", id.0)
-        } else {
-            fs.label.clone()
-        };
-        // Probe flows carry a `probe` label prefix; everything else on
-        // the fabric is a chunk leg (or direct-path flow) of a transfer.
-        let phase = if label.starts_with("probe") {
-            Phase::Probe
-        } else {
-            Phase::ChunkLeg
-        };
-        let start = if fs.activated == SimTime::NEVER {
-            fs.issued
-        } else {
-            fs.activated
-        };
-        let (start, end) = (start.as_secs(), st.now.as_secs());
-        let detail = format!("{} bytes", fs.bytes);
-        rec.span(phase, lane_of(&label), label.clone(), start, end, &detail);
-        for &(l, _) in &fs.demand.links {
-            rec.span(
-                phase,
-                st.link_tracks[l].clone(),
-                label.clone(),
-                start,
-                end,
-                &detail,
-            );
-        }
-    }
     if let Some(trace) = st.trace.as_mut() {
         trace.push(TraceRecord {
             flow: id,
-            label: std::mem::take(&mut fs.label),
+            label: fs.label.clone(),
             route: fs.route.clone(),
             bytes: fs.bytes,
             issued: fs.issued,
             activated: fs.activated,
             completed: st.now,
         });
+    }
+    if let Some(rec) = st.recorder.as_ref() {
+        rec.defer(Box::new(FlowSpans::take(&mut fs, st.now, &st.link_tracks)));
     }
     let done = std::mem::replace(&mut fs.done, OnComplete::Nothing);
     run_on_complete(st, topo, done);
@@ -1251,52 +1423,53 @@ fn complete_flow(st: &mut State, topo: &Topology, id: FlowId) {
     recompute_component(st, fs.demand.links.iter().map(|&(l, _)| l));
 }
 
-/// Pops and handles the earliest event. Returns `false` on an empty queue.
+/// Pops and handles the earliest event — the smaller `(at, seq)` of the
+/// timer/activation queue's top and the completion heap's top. Returns
+/// `false` when both are empty.
 fn process_next_event(st: &mut State, topo: &Topology) -> bool {
-    let Some(Reverse(qe)) = st.queue.pop() else {
-        return false;
+    let timer_first = match (st.queue.peek(), st.completions.peek()) {
+        (None, None) => return false,
+        (Some(Reverse(qe)), Some(p)) => (qe.at, qe.seq) < (p.at, p.seq),
+        (Some(_), None) => true,
+        (None, Some(_)) => false,
     };
-    // Stale completion events (superseded by a rate change) are dropped
-    // *without advancing the clock*: they are pure bookkeeping debris and
-    // must not stretch the simulation's end time.
-    if let Event::FlowComplete(id, gen) = qe.ev {
-        let stale = st
-            .flows
-            .get(&id)
-            .is_none_or(|f| f.generation != gen || !f.active);
-        if stale {
-            return true;
-        }
+    if !timer_first {
+        let p = st.completions.pop().expect("peeked completion");
+        advance_to(st, p.at);
+        complete_flow(st, topo, p.slot);
+        return true;
     }
-    debug_assert!(qe.at >= st.now, "event in the past: {} < {}", qe.at, st.now);
-    st.now = qe.at.max(st.now);
-    st.events_processed += 1;
+    let Reverse(qe) = st.queue.pop().expect("peeked event");
+    advance_to(st, qe.at);
     match qe.ev {
         Event::Timer(done) => run_on_complete(st, topo, done),
-        Event::FlowActivate(id) => {
-            let Some(fs) = st.flows.get_mut(&id) else {
-                return true; // flow already gone (zero-byte fast path)
-            };
-            fs.active = true;
-            fs.activated = st.now;
-            fs.last_update = st.now;
+        Event::FlowActivate(slot) => {
+            let now = st.now;
+            let fs = &mut st.flows[slot];
+            fs.activated = now;
+            fs.last_update = now;
             if fs.remaining <= 0.0 {
-                complete_flow(st, topo, id);
+                complete_flow(st, topo, slot);
             } else {
                 // Join the fabric. One seed link suffices: component
                 // discovery reaches the rest of the route through the
                 // flow itself.
                 let seed = fs.demand.links[0].0;
-                for li in 0..fs.demand.links.len() {
-                    let l = fs.demand.links[li].0;
-                    st.link_flows[l].push(id);
+                for &(l, _) in &fs.demand.links {
+                    st.link_flows[l].push(slot);
                 }
                 recompute_component(st, [seed]);
             }
         }
-        Event::FlowComplete(id, _gen) => complete_flow(st, topo, id),
     }
     true
+}
+
+/// Moves the clock to an event's time and counts the event.
+fn advance_to(st: &mut State, at: SimTime) {
+    debug_assert!(at >= st.now, "event in the past: {} < {}", at, st.now);
+    st.now = at.max(st.now);
+    st.events_processed += 1;
 }
 
 #[cfg(test)]

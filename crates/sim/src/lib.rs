@@ -41,6 +41,7 @@ pub mod fairness;
 pub mod fault;
 pub mod parallel;
 pub mod partition;
+mod pending;
 pub mod stats;
 pub mod time;
 pub mod waker;

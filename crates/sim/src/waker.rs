@@ -43,6 +43,11 @@ impl Waker {
         &self.inner.name
     }
 
+    /// True iff `other` is a clone of this waker (shares its signal).
+    pub(crate) fn same_as(&self, other: &Waker) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// True if the waker has been signaled and not yet consumed.
     /// (Engine-lock protected in practice; safe to read anywhere.)
     pub fn is_signaled(&self) -> bool {
