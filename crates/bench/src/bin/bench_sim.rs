@@ -31,8 +31,8 @@ const FLOW_COUNTS: [usize; 3] = [8, 64, 512];
 const REPEATS: usize = 3;
 /// Engines run back to back per timed sample of the flight-recorder
 /// cell, so a sample lasts ~10 ms — the scale its best-of-N estimate
-/// was sized for. One 512-flow engine takes ~2 ms, and this host's
-/// speed shifts by tens of percent over a few ms.
+/// was sized for. One 512-flow engine takes ~2 ms (2-vCPU VM), and a
+/// shared host's speed can shift by tens of percent within a few ms.
 const RECORDER_BATCHES: usize = 5;
 
 /// Cluster shape for the parallel cells: 32 disconnected 4-GPU nodes.

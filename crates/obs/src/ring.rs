@@ -6,10 +6,10 @@
 //! recorder does — `Engine::set_recorder`, `UcxContext`, the broker —
 //! while guaranteeing bounded memory no matter how long the process
 //! runs: once a thread's ring fills, the oldest entry is overwritten
-//! and its events counted. [`FlightRecorder::snapshot`] clones the rings without
-//! stopping recording; [`FlightRecorder::snapshot_last`] trims that to
-//! the trailing window of virtual time — "the last N seconds before
-//! the anomaly".
+//! and its events counted. [`FlightRecorder::snapshot`] clones the
+//! rings without stopping recording; [`FlightRecorder::snapshot_last`]
+//! trims that to the trailing window of virtual time — "the last N
+//! seconds before the anomaly".
 
 use crate::span::{Event, Recorder};
 

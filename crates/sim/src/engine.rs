@@ -1313,9 +1313,9 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
     }
     // 2. Partition out stalled flows. A flow crossing any down link is
     // parked at rate zero (its pending completion is dropped) and
-    // excluded from the allocator, which must
-    // only ever see live links with positive capacity. With no link down
-    // this is a straight memcpy of the component.
+    // excluded from the allocator, which must only ever see live links
+    // with positive capacity. With no link down this is a straight copy
+    // of the component.
     {
         let State {
             flows,
