@@ -895,11 +895,8 @@ impl Engine {
                 panic!("simulation engine poisoned (earlier deadlock)");
             }
             if st.blocked == st.registered {
-                if !st.posted.is_empty() {
-                    // Posted wake-ups go out before virtual time moves on.
-                    for w in std::mem::take(&mut st.posted) {
-                        fire_waker(&mut st, &w);
-                    }
+                // Posted wake-ups go out before virtual time moves on.
+                if deliver_posted(&mut st) {
                     sh.cv.notify_all();
                     continue;
                 }
@@ -1004,6 +1001,9 @@ impl Drop for SimThread {
         let mut st = self.engine.shared.state.lock();
         st.registered -= 1;
         // Quorum may now be complete for the remaining threads.
+        if st.blocked == st.registered {
+            deliver_posted(&mut st);
+        }
         self.engine.shared.cv.notify_all();
     }
 }
@@ -1124,6 +1124,18 @@ fn next_event_at(st: &State) -> Option<SimTime> {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
     }
+}
+
+/// Fires the wakers posted with [`Engine::post_waker`]; call only when
+/// every registered thread is blocked. Returns whether there were any.
+fn deliver_posted(st: &mut State) -> bool {
+    if st.posted.is_empty() {
+        return false;
+    }
+    for w in std::mem::take(&mut st.posted) {
+        fire_waker(st, &w);
+    }
+    true
 }
 
 fn fire_waker(st: &mut State, w: &Waker) {

@@ -61,3 +61,16 @@ fn posting_with_no_running_thread_fires_at_once() {
     eng.post_waker(&w);
     assert!(w.is_signaled());
 }
+
+/// A thread that posts and then leaves the simulation still gets its
+/// wake-up delivered: its departure completes the quorum.
+#[test]
+fn a_departing_poster_completes_the_quorum() {
+    let eng = Engine::new(Arc::new(presets::beluga()));
+    let w = Waker::new("w");
+    let poster = eng.register_thread("poster");
+    eng.post_waker(&w);
+    assert!(!w.is_signaled(), "the poster is still running");
+    drop(poster);
+    assert!(w.is_signaled());
+}
