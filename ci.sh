@@ -153,4 +153,32 @@ for line in sys.stdin:
   fi
   echo "perfbench: $workload sim_digest $got (pinned)"
 done
+# Recovery-accounting pin: a refactor can keep every simulated time and
+# still change how recovery is counted, which the digest alone would not
+# catch. The traced seed-1 fault_storm run reports the recovery loop's,
+# the breakers' and the hedging layer's counters over its 60k-op prefix
+# (which outlasts --seconds 1 here, so the escalation count covers the
+# same ops); each must equal its pin. A pin changes only through a
+# deliberate edit here, noted in CHANGES.md.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload fault_storm --seed 1 --seconds 1 --trace 1 | python3 -c '
+import json, sys
+want = {
+    "ucx.recover.retries": 835, "ucx.recover.replans": 840,
+    "ucx.recover.timeouts": 835, "ucx.health.trips": 81,
+    "ucx.health.hedges": 958, "ucx.health.hedge_wins": 893,
+    "loop.hedge_escalations": 170,
+}
+got = {}
+for line in sys.stdin:
+    obj = json.loads(line)
+    for name, m in obj.get("metrics", {}).items():
+        got[name] = m["value"]
+    if "loop" in obj:
+        got["loop.hedge_escalations"] = obj["loop"]["hedge_escalations"]
+bad = [f"{k} {got.get(k)}, pinned {v}" for k, v in want.items() if got.get(k) != v]
+if bad:
+    sys.exit("perfbench: fault_storm recovery counters moved: " + "; ".join(bad))
+print("perfbench: fault_storm recovery counters (pinned)")
+'
 echo "perfbench smoke: ok"

@@ -903,11 +903,7 @@ impl Broker {
                             .coalesced
                             .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
                     }
-                    let predicted = self
-                        .ctx
-                        .plan_for(shard.src, shard.dst, total)
-                        .map(|p| p.predicted_time)
-                        .unwrap_or(self.cfg.stuck.floor);
+                    let predicted = handle.predicted_time();
                     let deadline = self.cfg.stuck.deadline(now, predicted);
                     *earliest = Some(earliest.map_or(deadline, |e| e.min(deadline)));
                     for r in &batch {

@@ -626,7 +626,9 @@ impl Planner {
         n: usize,
         solve: impl FnOnce() -> Result<TransferPlan, TopologyError>,
     ) -> Result<Arc<TransferPlan>, TopologyError> {
-        assert!(n > 0, "cannot plan a zero-byte transfer");
+        if n == 0 {
+            return Err(TopologyError::InvalidLength(0));
+        }
         // L0: this thread's own last answer for (cache, pair, n) — no
         // lock, no shared-line traffic beyond the epoch load. The epoch
         // is read *before* any shared state so a concurrent invalidation
@@ -689,42 +691,13 @@ impl Planner {
         Ok(plan)
     }
 
-    /// Re-plan entry point for degraded fabrics: like [`Planner::plan`]
-    /// but with the candidate paths at the given indices *excluded* —
-    /// the caller has observed them fail or time out. Returns the plan
-    /// together with the surviving candidate set (the path set
-    /// `execute_plan` must be driven with). Never cached: exclusion sets
-    /// are transient observations, not topology facts.
-    ///
-    /// Degrades gracefully down to a single surviving path; errors with
-    /// [`TopologyError::NoUsablePath`] only when *every* candidate is
-    /// excluded.
-    pub fn plan_excluding(
-        &self,
-        src: DeviceId,
-        dst: DeviceId,
-        n: usize,
-        sel: PathSelection,
-        excluded: &[usize],
-    ) -> Result<(TransferPlan, Vec<TransferPath>), TopologyError> {
-        let all = enumerate_paths_auto(&self.topo, src, dst, sel)?;
-        let survivors: Vec<TransferPath> = all
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| !excluded.contains(i))
-            .map(|(_, p)| p)
-            .collect();
-        if survivors.is_empty() {
-            return Err(TopologyError::NoUsablePath(src, dst));
-        }
-        let plan = self.compute(n, &survivors)?;
-        Ok((plan, survivors))
-    }
-
     /// The uncached Algorithm-1 body, usable with an externally-supplied
     /// candidate set; parameters are extracted from the topology
     /// description.
     pub fn compute(&self, n: usize, paths: &[TransferPath]) -> Result<TransferPlan, TopologyError> {
+        if n == 0 {
+            return Err(TopologyError::InvalidLength(0));
+        }
         let params = extract_all(&self.topo, paths)?;
         Ok(self.compute_with_params(n, paths, params))
     }
@@ -1258,11 +1231,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "zero-byte")]
-    fn zero_byte_plan_panics() {
+    fn zero_byte_plan_is_a_typed_error() {
         let p = planner(presets::beluga());
         let gpus = p.topology().gpus();
-        let _ = p.plan(gpus[0], gpus[1], 0, PathSelection::DIRECT_ONLY);
+        let err = TopologyError::InvalidLength(0);
+        let planned = p.plan(gpus[0], gpus[1], 0, PathSelection::DIRECT_ONLY);
+        assert_eq!(planned.unwrap_err(), err);
+        let paths = enumerate_paths_auto(p.topology(), gpus[0], gpus[1], PathSelection::THREE_GPUS);
+        assert_eq!(p.compute(0, &paths.unwrap()).unwrap_err(), err);
     }
 
     #[test]

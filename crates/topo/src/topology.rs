@@ -35,6 +35,9 @@ pub enum TopologyError {
     SharesNotNormalized(f64),
     /// Every candidate path between the pair is excluded or down.
     NoUsablePath(DeviceId, DeviceId),
+    /// A message length no transfer can carry: zero bytes, or more bytes
+    /// than a buffer holds past its offset.
+    InvalidLength(usize),
 }
 
 impl fmt::Display for TopologyError {
@@ -55,6 +58,12 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::NoUsablePath(a, b) => {
                 write!(f, "no usable path from {a} to {b} (all excluded or down)")
+            }
+            TopologyError::InvalidLength(n) => {
+                write!(
+                    f,
+                    "invalid message length {n}: zero, or past a buffer's end"
+                )
             }
         }
     }

@@ -8,10 +8,10 @@
 //! the pipeline engine (Step 5).
 
 use crate::compile::{compile_plan, graph_key, GraphCache, GraphStats, MAX_GRAPHS_PER_KEY};
+use crate::deadline::DeadlinePolicy;
 use crate::health::{BreakerEvent, HealthConfig, HealthStats, HealthSupervisor, PathAdmissions};
 use crate::pipeline::{execute_plan_at_obs, PathSlot, TransferHandle, TransferObs};
-use crate::probe::probe_all_with;
-use crate::recover::{ResilienceCounters, ResilienceStats};
+use crate::recover::{total_bytes, ResilienceCounters, ResilienceStats};
 use crate::tuner::{manual_plan, tune_exhaustive, TuneResult};
 use mpx_gpu::{Buffer, GpuRuntime, GraphLaunchError, TransferGraph};
 use mpx_model::{PairKey, PlanCache, Planner, PlannerConfig, ShardedMap, TransferPlan};
@@ -381,25 +381,16 @@ impl UcxContext {
             let params = match self.inner.probed.get(&pair, &pair) {
                 Some(p) => p,
                 None => {
-                    let eng = self.inner.rt.engine();
-                    // Down links report capacity 0, which the probe
-                    // engine rejects; give them a dummy rate instead.
                     // Supervised planning keeps dead routes out of the
-                    // candidate set, so the dummy never carries a share
-                    // worth anything.
-                    let p = eng.with_capacities(|caps| {
-                        let caps: Vec<f64> = caps
-                            .iter()
-                            .map(|&v| if v > 0.0 { v } else { 1.0 })
-                            .collect();
-                        probe_all_with(eng.topology(), Some(&caps), &paths).map(Arc::new)
-                    })?;
+                    // candidate set, so the dummy rate a down link probes
+                    // at never carries a share worth anything.
+                    let p = Arc::new(self.probe_current(&paths)?);
                     if let Some(rec) = &self.inner.obs {
                         rec.instant(
                             Phase::Probe,
                             format!("pair:{src}->{dst}"),
                             "probe-calibrate",
-                            eng.now().as_secs(),
+                            self.inner.rt.engine().now().as_secs(),
                             format!("paths={}", paths.len()),
                         );
                     }
@@ -591,13 +582,11 @@ impl UcxContext {
         }
         let plan = self.plan_for(src.device(), dst.device(), n)?;
         let paths = self.paths_for(src.device(), dst.device(), self.effective_selection())?;
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        if self.inner.cfg.graph_replay || force_graph {
-            // Breaker-open or drift-gated pairs never serve replays: a
-            // compiled graph would put bytes straight back on the sick
-            // path. `is_quiet` short-circuits the per-pair scan on a
-            // healthy fabric.
-            let replay_ok = !hcfg.enabled || self.inner.health.is_quiet() || {
+        // Breaker-open or drift-gated pairs never serve replays: a
+        // compiled graph would put bytes straight back on the sick path.
+        // `is_quiet` short-circuits the per-pair scan on a healthy fabric.
+        let replay = (self.inner.cfg.graph_replay || force_graph)
+            && (!hcfg.enabled || self.inner.health.is_quiet() || {
                 let pair = self.pair_key(src.device(), dst.device(), self.effective_selection());
                 let now = self.inner.rt.engine().now().as_secs();
                 let allowed = self.inner.health.replay_allowed(pair, now);
@@ -606,20 +595,45 @@ impl UcxContext {
                     self.inner.graphs.invalidate_pair(&pair);
                 }
                 allowed
-            };
-            if replay_ok {
-                if let Some(h) =
-                    self.try_replay(&plan, &paths, src, src_off, dst, dst_off, seq, notify)
-                {
-                    return Ok(h);
-                }
-                self.inner.graphs.fallbacks.fetch_add(1, Ordering::Relaxed);
+            });
+        let seq = self.next_seq();
+        self.issue(
+            &plan, &paths, src, src_off, dst, dst_off, seq, notify, replay,
+        )
+    }
+
+    /// The one issue point of every PUT, recovery rounds included: checks
+    /// that both buffers hold the message range, then replays a compiled
+    /// graph (when `replay` is set and one launches) or interprets the
+    /// plan over `paths`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn issue(
+        &self,
+        plan: &TransferPlan,
+        paths: &[TransferPath],
+        src: &Buffer,
+        src_off: usize,
+        dst: &Buffer,
+        dst_off: usize,
+        seq: u64,
+        notify: &[mpx_sim::Waker],
+        replay: bool,
+    ) -> Result<TransferHandle, TopologyError> {
+        let fits =
+            |buf: &Buffer, off: usize| off.checked_add(plan.n).is_some_and(|end| end <= buf.len());
+        if !fits(src, src_off) || !fits(dst, dst_off) {
+            return Err(TopologyError::InvalidLength(plan.n));
+        }
+        if replay {
+            if let Some(h) = self.try_replay(plan, paths, src, src_off, dst, dst_off, seq, notify) {
+                return Ok(h);
             }
+            self.inner.graphs.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         Ok(execute_plan_at_obs(
             &self.inner.rt,
-            &plan,
-            &paths,
+            plan,
+            paths,
             src,
             src_off,
             dst,
@@ -631,11 +645,11 @@ impl UcxContext {
     }
 
     /// The supervised planning path, taken only when a breaker is open
-    /// somewhere or a link is down: trips breakers on dead routes,
-    /// collects this pair's exclusions, and — when any exist — plans the
-    /// transfer over the surviving candidates only (order-preserving, as
-    /// `Planner::plan_excluding` guarantees). Returns `Ok(None)` when
-    /// the pair has no exclusions and the normal cached path should run.
+    /// somewhere or a link is down: collects this pair's exclusions,
+    /// trips breakers on dead routes, and — when any candidate drops out
+    /// — plans the transfer over the survivors only, in candidate order.
+    /// Returns `Ok(None)` when every candidate survives and the normal
+    /// cached path should run.
     #[allow(clippy::too_many_arguments)]
     fn put_supervised(
         &self,
@@ -648,61 +662,37 @@ impl UcxContext {
     ) -> Result<Option<TransferHandle>, TopologyError> {
         let sel = self.effective_selection();
         let pair = self.pair_key(src.device(), dst.device(), sel);
-        let eng = self.inner.rt.engine();
         let paths = self.paths_for(src.device(), dst.device(), sel)?;
-        let now = eng.now().as_secs();
+        let now = self.inner.rt.engine().now().as_secs();
         let adm = self.inner.health.admissions(pair, paths.len(), now);
         self.health_record_probes(
             &format!("pair:{}->{}", src.device(), dst.device()),
             &adm,
             now,
         );
-        let mut excluded = adm.excluded;
-        if eng.any_link_down() {
-            for (i, p) in paths.iter().enumerate() {
-                if excluded.contains(&i) {
-                    continue;
-                }
-                if p.legs
-                    .iter()
-                    .any(|leg| leg.route.iter().any(|&l| !eng.link_is_up(l)))
-                {
-                    self.health_path_failure(pair, i, p, "link-down");
-                    excluded.push(i);
-                }
-            }
-        }
-        if excluded.is_empty() {
+        let live = self.survivors(pair, &paths, |i| adm.excluded.contains(&i));
+        if live.paths.len() == paths.len() {
             return Ok(None);
         }
-        let mut survivors: Vec<TransferPath> = Vec::new();
-        let mut orig_idx: Vec<usize> = Vec::new();
-        for (i, p) in paths.iter().enumerate() {
-            if !excluded.contains(&i) {
-                survivors.push(p.clone());
-                orig_idx.push(i);
-            }
-        }
-        if survivors.is_empty() {
+        if live.paths.is_empty() {
             return Err(TopologyError::NoUsablePath(src.device(), dst.device()));
         }
         // Deliberately uncached: the fabric is in flux, and a cached
         // survivor plan would outlive the exclusions that shaped it.
-        let plan = self.inner.planner.compute(n, &survivors)?;
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let mut h = execute_plan_at_obs(
-            &self.inner.rt,
+        let plan = self.inner.planner.compute(n, &live.paths)?;
+        let seq = self.next_seq();
+        let mut h = self.issue(
             &plan,
-            &survivors,
+            &live.paths,
             src,
             src_off,
             dst,
             dst_off,
             seq,
             notify,
-            self.transfer_obs(src.device(), dst.device()),
-        );
-        h.remap_path_indices(&orig_idx);
+            false,
+        )?;
+        h.remap_path_indices(&live.orig);
         Ok(Some(h))
     }
 
@@ -770,7 +760,7 @@ impl UcxContext {
                     bytes: e.bytes,
                 })
                 .collect();
-            TransferHandle::from_parts(wakers, slots, plan.n)
+            TransferHandle::from_parts(wakers, slots, plan)
         };
 
         let snapshot: Vec<Arc<TransferGraph>> = pool.graphs.lock().clone();
@@ -1105,40 +1095,26 @@ impl UcxContext {
         dst: &Buffer,
         n: usize,
     ) -> Result<(), TransferError> {
-        let plan = self.plan_for(src.device(), dst.device(), n)?;
-        let pair = self.pair_key(src.device(), dst.device(), self.effective_selection());
+        let sel = self.effective_selection();
+        let pair = self.pair_key(src.device(), dst.device(), sel);
         let t0 = thread.now();
-        let h = self.put_async(src, dst, n)?;
-        let deadline = crate::deadline::DeadlinePolicy::STUCK.deadline(t0, plan.predicted_time);
-        match h.wait_deadline(thread, deadline) {
-            Ok(()) => {
-                self.health_mark_success(pair, &h);
-                Ok(())
-            }
-            Err(_) => {
-                let mut bytes = 0u64;
-                let paths = self.paths_for(src.device(), dst.device(), self.effective_selection());
-                for s in h.unfinished() {
-                    bytes += s.bytes as u64;
-                    if let Ok(paths) = &paths {
-                        self.health_path_failure(
-                            pair,
-                            s.path_index,
-                            &paths[s.path_index],
-                            "stuck-put",
-                        );
-                    }
-                }
-                let elapsed = thread.now().secs_since(t0);
-                self.anomaly_signal(
-                    TriggerClass::StuckTransfer,
-                    Some(&format!("{}->{}", src.device(), dst.device())),
-                    h.unfinished().first().map(|s| s.path_index),
-                    &format!("bytes={bytes} elapsed_us={:.3}", elapsed * 1e6),
-                );
-                Err(TransferError::Stuck { bytes, elapsed })
-            }
+        let issued = [(self.put_async(src, dst, n)?, 0)];
+        let (h, _) = &issued[0];
+        let paths = self.paths_for(src.device(), dst.device(), sel)?;
+        let deadline = DeadlinePolicy::STUCK.deadline(t0, h.predicted_time());
+        let stuck = self.settle(thread, pair, &paths, &issued, deadline, "stuck-put", |_| {});
+        if stuck.is_empty() {
+            return Ok(());
         }
+        let bytes = total_bytes(&stuck);
+        let elapsed = thread.now().secs_since(t0);
+        self.anomaly_signal(
+            TriggerClass::StuckTransfer,
+            Some(&format!("{}->{}", src.device(), dst.device())),
+            h.unfinished().first().map(|s| s.path_index),
+            &format!("bytes={bytes} elapsed_us={:.3}", elapsed * 1e6),
+        );
+        Err(TransferError::Stuck { bytes, elapsed })
     }
 
     /// The path-health supervisor: breaker states, admissions, counter
@@ -1166,12 +1142,8 @@ impl UcxContext {
         if !self.inner.cfg.health.enabled {
             return;
         }
-        let eng = self.inner.rt.engine();
-        let now = eng.now().as_secs();
-        let dead = path
-            .legs
-            .iter()
-            .any(|leg| leg.route.iter().any(|&l| !eng.link_is_up(l)));
+        let now = self.inner.rt.engine().now().as_secs();
+        let dead = !self.route_is_up(path);
         let ev = if dead {
             self.inner.health.trip(pair, path_index, now)
         } else {

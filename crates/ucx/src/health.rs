@@ -5,9 +5,9 @@
 //! miss; this layer remembers. Every deadline miss, dead link, and
 //! sustained residual drift charges a per-`(pair, path)` **circuit
 //! breaker** — the classic Closed → Open → HalfOpen machine. Open
-//! breakers bias planning away from the sick path (the context plans the
-//! residual candidate set through `Planner::plan_excluding` semantics),
-//! gate compiled-graph replay for the pair (a stale graph would put
+//! breakers bias planning away from the sick path (supervised PUTs and
+//! hedge rounds plan over the survivors of the shared survivor filter in
+//! [`crate::recover`]), gate compiled-graph replay for the pair (a stale graph would put
 //! bytes right back on the sick path), and, after a configurable window,
 //! re-admit the path as a *half-open probe* carrying bounded trial
 //! traffic: a few clean completions close the breaker, one more failure
@@ -17,7 +17,10 @@
 //! that waits `predicted_time × factor` for the primary attempt, then
 //! launches the residual byte ranges on the healthiest paths *not*
 //! implicated in the stall and takes the first completion per range.
-//! Duplicate writes are byte-identical by construction, so "cancelling
+//! Each hedge round is the same recovery round `put_resilient` runs
+//! (survivor filter, re-probe, residual solve-and-issue, wait-and-charge;
+//! see [`crate::recover`]); only its exclusions, its wait ladder and its
+//! residual rule differ. Duplicate writes are byte-identical by construction, so "cancelling
 //! the loser" is pure accounting — a stalled loser flow on a dead link
 //! never completes and never corrupts.
 //!
@@ -28,19 +31,15 @@
 
 use crate::context::UcxContext;
 use crate::deadline::DeadlinePolicy;
-use crate::pipeline::execute_plan_at_obs;
-use crate::probe::probe_all_with;
-use crate::recover::{coalesce, residuals_of, Range, RecoveryError};
+use crate::recover::{coalesce, residuals_of, total_bytes, Range, RecoveryError};
 use mpx_gpu::Buffer;
-use mpx_model::{PairKey, TransferPlan};
+use mpx_model::PairKey;
 use mpx_obs::Phase;
 use mpx_sim::SimThread;
-use mpx_topo::path::TransferPath;
 use mpx_topo::units::Secs;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Tunables of the supervision layer, embedded in
 /// [`crate::UcxConfig::health`].
@@ -520,7 +519,6 @@ impl UcxContext {
         n: usize,
         hcfg: &HedgeConfig,
     ) -> Result<HedgeReport, RecoveryError> {
-        let eng = self.runtime().engine().clone();
         let t0 = thread.now();
         let sel = self.effective_selection();
         let pair = self.pair_key(src.device(), dst.device(), sel);
@@ -528,49 +526,39 @@ impl UcxContext {
 
         let plan = self.plan_for(src.device(), dst.device(), n)?;
         let all_paths = self.paths_for(src.device(), dst.device(), sel)?;
-        let obs = self.transfer_obs(src.device(), dst.device());
         let seq = self.next_seq();
-        let primary = execute_plan_at_obs(
-            self.runtime(),
-            &plan,
-            &all_paths,
-            src,
+        let first = [(
+            self.issue(&plan, &all_paths, src, 0, dst, 0, seq, &[], false)?,
             0,
-            dst,
-            0,
-            seq,
-            &[],
-            obs.clone(),
-        );
+        )];
+        let primary = &first[0].0;
         let policy: DeadlinePolicy = hcfg.trigger_policy();
         let trigger = policy.budget(plan.predicted_time);
         let mut report = HedgeReport::default();
-        if primary.wait_deadline(thread, t0.after(trigger)).is_ok() {
-            self.health_mark_success(pair, &primary);
+        // Past its budget the primary's stalled paths are charged and
+        // the residual is raced.
+        let mut sick: Vec<usize> = Vec::new();
+        let mut pending = self.settle(
+            thread,
+            pair,
+            &all_paths,
+            &first,
+            t0.after(trigger),
+            "hedge-trigger",
+            |h| sick.extend(h.unfinished().iter().map(|s| s.path_index)),
+        );
+        if pending.is_empty() {
             report.elapsed = thread.now().secs_since(t0);
             return Ok(report);
         }
 
-        // The primary blew its budget: charge the stalled paths and race
-        // the residual.
-        let mut sick: Vec<usize> = Vec::new();
-        for s in primary.unfinished() {
-            sick.push(s.path_index);
-            self.health_path_failure(
-                pair,
-                s.path_index,
-                &all_paths[s.path_index],
-                "hedge-trigger",
-            );
-        }
-        let mut pending = coalesce(residuals_of(&primary, 0));
         let mut round = 0u32;
         let mut hedge_finished_last = false;
         while !pending.is_empty() {
             if round >= hcfg.max_hedges {
                 return Err(RecoveryError::RetriesExhausted {
                     retries: round as u64,
-                    unfinished_bytes: pending.iter().map(|r| r.bytes as u64).sum(),
+                    unfinished_bytes: total_bytes(&pending),
                 });
             }
             round += 1;
@@ -580,26 +568,12 @@ impl UcxContext {
 
             // Hedge candidates: up, not implicated in this transfer's
             // stall, and not excluded by an open breaker.
-            let mut hedge_paths: Vec<TransferPath> = Vec::new();
-            let mut orig_idx: Vec<usize> = Vec::new();
-            for (i, p) in all_paths.iter().enumerate() {
-                if sick.contains(&i) || adm.excluded.contains(&i) {
-                    continue;
-                }
-                if !p
-                    .legs
-                    .iter()
-                    .all(|leg| leg.route.iter().all(|&l| eng.link_is_up(l)))
-                {
-                    self.health_path_failure(pair, i, p, "link-down");
-                    continue;
-                }
-                hedge_paths.push(p.clone());
-                orig_idx.push(i);
-            }
+            let live = self.survivors(pair, &all_paths, |i| {
+                sick.contains(&i) || adm.excluded.contains(&i)
+            });
 
             let wait_scale = hcfg.backoff.max(1.0).powi(round as i32 - 1);
-            if hedge_paths.is_empty() {
+            if live.paths.is_empty() {
                 // Nothing healthy to race on: give the primary one
                 // backed-off window (a flapped link may come back) and
                 // re-assess.
@@ -612,50 +586,13 @@ impl UcxContext {
                     hedge_finished_last = false;
                     break;
                 }
-                pending = coalesce(residuals_of(&primary, 0));
+                pending = coalesce(residuals_of(primary, 0));
                 continue;
             }
 
-            // Re-probe the hedge set against current capacities (down
-            // links carry a dummy rate; no hedge path routes over them).
-            let caps: Vec<f64> =
-                eng.with_capacities(|c| c.iter().map(|&v| if v > 0.0 { v } else { 1.0 }).collect());
-            let params = probe_all_with(eng.topology(), Some(&caps), &hedge_paths)?;
-
-            let mut handles = Vec::with_capacity(pending.len());
-            let mut worst: Secs = 0.0;
-            let mut memo: Option<(usize, Arc<TransferPlan>)> = None;
-            let round_bytes: u64 = pending.iter().map(|r| r.bytes as u64).sum();
-            for r in &pending {
-                let hplan = match &memo {
-                    Some((bytes, p)) if *bytes == r.bytes => p.clone(),
-                    _ => {
-                        let p = Arc::new(self.planner().compute_with_params(
-                            r.bytes,
-                            &hedge_paths,
-                            params.clone(),
-                        ));
-                        memo = Some((r.bytes, p.clone()));
-                        p
-                    }
-                };
-                worst = worst.max(hplan.predicted_time);
-                let seq = self.next_seq();
-                let mut h = execute_plan_at_obs(
-                    self.runtime(),
-                    &hplan,
-                    &hedge_paths,
-                    src,
-                    r.offset,
-                    dst,
-                    r.offset,
-                    seq,
-                    &[],
-                    obs.clone(),
-                );
-                h.remap_path_indices(&orig_idx);
-                handles.push((h, r.offset));
-            }
+            let params = self.probe_current(&live.paths)?;
+            let hedge = self.issue_residuals(&pending, &live, params, src, dst)?;
+            let round_bytes = total_bytes(&pending);
             report.hedges += 1;
             report.hedged_bytes += round_bytes;
             self.health().note_hedge();
@@ -667,39 +604,32 @@ impl UcxContext {
                     thread.now().as_secs(),
                     format!(
                         "bytes={round_bytes} paths={} ranges={}",
-                        hedge_paths.len(),
+                        live.paths.len(),
                         pending.len()
                     ),
                 );
             }
 
-            let deadline = policy.scaled(wait_scale).deadline(thread.now(), worst);
-            let mut hedge_resid: Vec<Range> = Vec::new();
-            let mut all_ok = true;
-            for (h, base) in &handles {
-                if h.wait_deadline(thread, deadline).is_err() {
-                    all_ok = false;
-                    hedge_resid.extend(residuals_of(h, *base));
-                    for s in h.unfinished() {
-                        self.health_path_failure(
-                            pair,
-                            s.path_index,
-                            &all_paths[s.path_index],
-                            "hedge-stall",
-                        );
-                    }
-                } else {
-                    self.health_mark_success(pair, h);
-                }
-            }
-            if all_ok {
+            let deadline = policy
+                .scaled(wait_scale)
+                .deadline(thread.now(), hedge.worst);
+            let hedge_resid = self.settle(
+                thread,
+                pair,
+                &all_paths,
+                &hedge.handles,
+                deadline,
+                "hedge-stall",
+                |_| {},
+            );
+            if hedge_resid.is_empty() {
                 pending.clear();
                 hedge_finished_last = true;
             } else {
                 // Still missing: only bytes neither the hedge nor the
                 // (still running) primary have landed.
-                let prim = coalesce(residuals_of(&primary, 0));
-                pending = intersect(&coalesce(hedge_resid), &prim);
+                let prim = coalesce(residuals_of(primary, 0));
+                pending = intersect(&hedge_resid, &prim);
                 // If the message is now whole but the primary alone
                 // still has residual, the hedge's bytes were decisive.
                 hedge_finished_last = pending.is_empty() && !prim.is_empty();

@@ -22,6 +22,7 @@ use mpx_model::TransferPlan;
 use mpx_obs::{Phase, QuantileHist, Recorder, ResidualTracker};
 use mpx_sim::{SimTime, Waker};
 use mpx_topo::path::TransferPath;
+use mpx_topo::units::Secs;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -82,6 +83,8 @@ pub struct TransferHandle {
     drained: Vec<AtomicBool>,
     /// Total bytes of the message.
     pub bytes: usize,
+    /// Predicted completion time of the plan this transfer executes.
+    predicted: Secs,
 }
 
 impl TransferHandle {
@@ -153,6 +156,13 @@ impl TransferHandle {
             .collect()
     }
 
+    /// The model's predicted completion time for the plan this handle
+    /// actually executes — the survivor plan when supervision excluded
+    /// paths, the replayed graph's plan under replay.
+    pub fn predicted_time(&self) -> Secs {
+        self.predicted
+    }
+
     /// Number of active paths.
     pub fn path_count(&self) -> usize {
         self.wakers.len()
@@ -173,21 +183,22 @@ impl TransferHandle {
         }
     }
 
-    /// Assembles a handle from per-path wakers and their message ranges —
-    /// how the graph-replay fast path wraps a
-    /// [`mpx_gpu::TransferGraph::launch`] so callers see the same handle
-    /// either way.
+    /// Assembles a handle for `plan` from per-path wakers and their
+    /// message ranges — how both the interpreter and the graph-replay
+    /// fast path (wrapping a [`mpx_gpu::TransferGraph::launch`]) build
+    /// theirs, so callers see the same handle either way.
     pub(crate) fn from_parts(
         wakers: Vec<Waker>,
         slots: Vec<PathSlot>,
-        bytes: usize,
+        plan: &TransferPlan,
     ) -> TransferHandle {
         let drained = wakers.iter().map(|_| AtomicBool::new(false)).collect();
         TransferHandle {
             wakers,
             slots,
             drained,
-            bytes,
+            bytes: plan.n,
+            predicted: plan.predicted_time,
         }
     }
 }
@@ -457,13 +468,7 @@ pub(crate) fn execute_plan_at_obs(
         offset += share;
     }
     assert_eq!(offset, plan.n, "plan shares do not cover the message");
-    let drained = wakers.iter().map(|_| AtomicBool::new(false)).collect();
-    TransferHandle {
-        wakers,
-        slots,
-        drained,
-        bytes: plan.n,
-    }
+    TransferHandle::from_parts(wakers, slots, plan)
 }
 
 #[cfg(test)]

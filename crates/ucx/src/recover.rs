@@ -16,21 +16,32 @@
 //! it equalizes completion over whatever candidate set it is given, so
 //! the residual transfer is again optimal for the degraded fabric, down
 //! to a single surviving path.
+//!
+//! # One recovery round
+//!
+//! The steps every blocking PUT shares live here, once each: the
+//! survivor filter (`survivors`), the re-probe against current
+//! capacities (`probe_current`), the residual solve-and-issue
+//! (`issue_residuals`) and the wait-and-charge step (`settle`).
+//! `put_resilient` and [`UcxContext::put_hedged`] are two loops over
+//! them, differing in exclusions, wait ladder, residual rule, what they
+//! do with no candidate left, and counters; [`UcxContext::put`] settles
+//! its one handle the same way.
 
 use crate::context::UcxContext;
 use crate::deadline::DeadlinePolicy;
-use crate::pipeline::{execute_plan_at_obs, TransferHandle};
+use crate::pipeline::TransferHandle;
 use crate::probe::probe_all_with;
 use mpx_gpu::Buffer;
-use mpx_model::TransferPlan;
+use mpx_model::{PairKey, TransferPlan};
 use mpx_obs::Phase;
-use mpx_sim::SimThread;
+use mpx_sim::{SimThread, SimTime};
+use mpx_topo::params::PathParams;
 use mpx_topo::path::TransferPath;
 use mpx_topo::units::Secs;
 use mpx_topo::TopologyError;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Tunables of the recovery loop.
 #[derive(Debug, Clone, Copy)]
@@ -215,7 +226,155 @@ pub(crate) fn residuals_of(h: &TransferHandle, base: usize) -> Vec<Range> {
         .collect()
 }
 
+/// Total bytes of a range list.
+pub(crate) fn total_bytes(ranges: &[Range]) -> u64 {
+    ranges.iter().map(|r| r.bytes as u64).sum()
+}
+
+/// The candidates a recovery step may use, with their indices in the full
+/// candidate set (so breaker attribution stays in candidate-set space).
+pub(crate) struct Survivors {
+    pub(crate) paths: Vec<TransferPath>,
+    pub(crate) orig: Vec<usize>,
+}
+
+/// One batch of residual sends in flight together.
+pub(crate) struct Round {
+    /// Each residual's handle with the message offset it starts at.
+    pub(crate) handles: Vec<(TransferHandle, usize)>,
+    /// The slowest prediction among the round's plans.
+    pub(crate) worst: Secs,
+    /// Eq. 24 solves the round ran.
+    pub(crate) solves: u64,
+}
+
 impl UcxContext {
+    /// True when every link of every leg of `path` is up.
+    pub(crate) fn route_is_up(&self, path: &TransferPath) -> bool {
+        let eng = self.runtime().engine();
+        path.legs
+            .iter()
+            .all(|leg| leg.route.iter().all(|&l| eng.link_is_up(l)))
+    }
+
+    /// The survivor filter: candidates `skip` leaves in whose routes are
+    /// up. A skipped candidate is left alone; a candidate over a down
+    /// link charges its breaker (`link-down`) and drops out.
+    pub(crate) fn survivors(
+        &self,
+        pair: PairKey,
+        paths: &[TransferPath],
+        skip: impl Fn(usize) -> bool,
+    ) -> Survivors {
+        let mut live = Survivors {
+            paths: Vec::new(),
+            orig: Vec::new(),
+        };
+        for (i, p) in paths.iter().enumerate() {
+            if skip(i) {
+                continue;
+            }
+            if self.route_is_up(p) {
+                live.paths.push(p.clone());
+                live.orig.push(i);
+            } else {
+                self.health_path_failure(pair, i, p, "link-down");
+            }
+        }
+        live
+    }
+
+    /// Per-path parameters probed against the fabric's *current* link
+    /// capacities. Down links sit at capacity 0, which the probe rejects,
+    /// so they get a dummy rate; no path handed in routes over one.
+    pub(crate) fn probe_current(
+        &self,
+        paths: &[TransferPath],
+    ) -> Result<Vec<PathParams>, TopologyError> {
+        let eng = self.runtime().engine();
+        let caps: Vec<f64> =
+            eng.with_capacities(|c| c.iter().map(|&v| if v > 0.0 { v } else { 1.0 }).collect());
+        probe_all_with(eng.topology(), Some(&caps), paths)
+    }
+
+    /// Re-solves Eq. 24 over `live` for every residual range and issues
+    /// them all at once. Stalled pipelines shed uniform chunk-sized
+    /// residuals, so a run of equal sizes reuses the last solve instead
+    /// of re-running the share system per range.
+    pub(crate) fn issue_residuals(
+        &self,
+        pending: &[Range],
+        live: &Survivors,
+        params: Vec<PathParams>,
+        src: &Buffer,
+        dst: &Buffer,
+    ) -> Result<Round, TopologyError> {
+        let mut round = Round {
+            handles: Vec::with_capacity(pending.len()),
+            worst: 0.0,
+            solves: 0,
+        };
+        let mut last: Option<TransferPlan> = None;
+        for r in pending {
+            let plan = match last.take() {
+                Some(plan) if plan.n == r.bytes => plan,
+                _ => {
+                    round.solves += 1;
+                    self.planner()
+                        .compute_with_params(r.bytes, &live.paths, params.clone())
+                }
+            };
+            round.worst = round.worst.max(plan.predicted_time);
+            let seq = self.next_seq();
+            let mut h = self.issue(
+                &plan,
+                &live.paths,
+                src,
+                r.offset,
+                dst,
+                r.offset,
+                seq,
+                &[],
+                false,
+            )?;
+            h.remap_path_indices(&live.orig);
+            round.handles.push((h, r.offset));
+            last = Some(plan);
+        }
+        Ok(round)
+    }
+
+    /// Waits for a round until `deadline`. A handle that lands credits its
+    /// paths' breakers; one that misses charges each stalled path with
+    /// `why` and then runs `on_miss`. Returns what the round left
+    /// unfinished, coalesced, in message offsets — empty when all of it
+    /// landed.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn settle(
+        &self,
+        thread: &SimThread,
+        pair: PairKey,
+        paths: &[TransferPath],
+        round: &[(TransferHandle, usize)],
+        deadline: SimTime,
+        why: &str,
+        mut on_miss: impl FnMut(&TransferHandle),
+    ) -> Vec<Range> {
+        let mut left = Vec::new();
+        for (h, base) in round {
+            if h.wait_deadline(thread, deadline).is_ok() {
+                self.health_mark_success(pair, h);
+                continue;
+            }
+            for s in h.unfinished() {
+                self.health_path_failure(pair, s.path_index, &paths[s.path_index], why);
+            }
+            on_miss(h);
+            left.extend(residuals_of(h, *base));
+        }
+        coalesce(left)
+    }
+
     /// Blocking PUT with detection and recovery: deadlines from the
     /// plan's own prediction, residual re-planning over surviving paths,
     /// exponential slack backoff, bounded retries. See the module docs
@@ -228,7 +387,6 @@ impl UcxContext {
         n: usize,
         rcfg: &RecoveryConfig,
     ) -> Result<RecoveryReport, RecoveryError> {
-        let eng = self.runtime().engine().clone();
         let t0 = thread.now();
         let mut slack = rcfg.slack.max(1.0);
         let mut report = RecoveryReport::default();
@@ -243,39 +401,24 @@ impl UcxContext {
         // sequence number, so concurrent transfers decorrelate while a
         // fixed seed and issue order replay the same slack ladder.
         let mut jitter_state = (rcfg.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
-        let obs = self.transfer_obs(src.device(), dst.device());
-        let pair_track = format!("pair:{}->{}", src.device(), dst.device());
-        let h = execute_plan_at_obs(
-            self.runtime(),
-            &plan,
-            &all_paths,
-            src,
+        let label = format!("{}->{}", src.device(), dst.device());
+        let pair_track = format!("pair:{label}");
+        let first = [(
+            self.issue(&plan, &all_paths, src, 0, dst, 0, seq, &[], false)?,
             0,
-            dst,
-            0,
-            seq,
-            &[],
-            obs.clone(),
-        );
+        )];
         let deadline = DeadlinePolicy::new(slack, rcfg.min_deadline)
             .deadline(thread.now(), plan.predicted_time);
-        let mut pending: Vec<Range> = match h.wait_deadline(thread, deadline) {
-            Ok(()) => {
-                self.health_mark_success(pair, &h);
-                Vec::new()
-            }
-            Err(_) => {
+        let mut pending = self.settle(
+            thread,
+            pair,
+            &all_paths,
+            &first,
+            deadline,
+            "deadline-miss",
+            |h| {
                 self.resilience().timeouts.fetch_add(1, Ordering::Relaxed);
-                for s in h.unfinished() {
-                    self.health_path_failure(
-                        pair,
-                        s.path_index,
-                        &all_paths[s.path_index],
-                        "deadline-miss",
-                    );
-                }
-                let residuals = coalesce(residuals_of(&h, 0));
-                let unfinished: u64 = residuals.iter().map(|r| r.bytes as u64).sum();
+                let unfinished: u64 = h.unfinished().iter().map(|s| s.bytes as u64).sum();
                 if let Some(rec) = self.recorder() {
                     rec.instant(
                         Phase::Recovery,
@@ -287,23 +430,21 @@ impl UcxContext {
                 }
                 self.anomaly_signal(
                     mpx_obs::TriggerClass::DeadlineMissBurst,
-                    Some(&format!("{}->{}", src.device(), dst.device())),
+                    Some(&label),
                     h.unfinished().first().map(|s| s.path_index),
                     &format!("xfer{seq} unfinished_bytes={unfinished} slack={slack:.1}"),
                 );
-                residuals
-            }
-        };
+            },
+        );
 
-        // Recovery rounds: re-probe, re-plan residuals over survivors,
-        // re-send, back off.
+        // Recovery rounds: drop dead paths, re-probe, re-plan the
+        // residuals over the survivors, re-send, back off.
         let mut round = 0u32;
         while !pending.is_empty() {
             if round >= rcfg.max_retries {
-                let unfinished_bytes = pending.iter().map(|r| r.bytes as u64).sum();
                 return Err(RecoveryError::RetriesExhausted {
                     retries: report.retries,
-                    unfinished_bytes,
+                    unfinished_bytes: total_bytes(&pending),
                 });
             }
             round += 1;
@@ -311,35 +452,12 @@ impl UcxContext {
             report.retries += 1;
             self.resilience().retries.fetch_add(1, Ordering::Relaxed);
 
-            // Surviving candidates: every link of every leg still up.
-            // The parallel original-index vector keeps breaker
-            // attribution in candidate-set space after the filter.
-            let mut survivors: Vec<TransferPath> = Vec::new();
-            let mut orig_idx: Vec<usize> = Vec::new();
-            for (i, p) in all_paths.iter().enumerate() {
-                if p.legs
-                    .iter()
-                    .all(|leg| leg.route.iter().all(|&l| eng.link_is_up(l)))
-                {
-                    survivors.push(p.clone());
-                    orig_idx.push(i);
-                } else {
-                    self.health_path_failure(pair, i, p, "link-down");
-                }
-            }
-            if survivors.is_empty() {
+            let live = self.survivors(pair, &all_paths, |_| false);
+            if live.paths.is_empty() {
                 return Err(TopologyError::NoUsablePath(src.device(), dst.device()).into());
             }
-            report.final_paths = survivors.len();
-
-            // Refresh parameters against the fabric's *current* state.
-            // Down links sit at capacity 0 in the engine; the probe
-            // asserts positive capacities, so give them a dummy value —
-            // survivors never route over them, so it cannot influence
-            // the measured rates.
-            let caps: Vec<f64> =
-                eng.with_capacities(|c| c.iter().map(|&v| if v > 0.0 { v } else { 1.0 }).collect());
-            let params = probe_all_with(eng.topology(), Some(&caps), &survivors)?;
+            report.final_paths = live.paths.len();
+            let params = self.probe_current(&live.paths)?;
             if let Some(rec) = self.recorder() {
                 rec.instant(
                     Phase::Recovery,
@@ -348,80 +466,40 @@ impl UcxContext {
                     thread.now().as_secs(),
                     format!(
                         "survivors={} of {} residual_ranges={}",
-                        survivors.len(),
+                        live.paths.len(),
                         all_paths.len(),
                         pending.len()
                     ),
                 );
             }
 
-            // One residual plan per *distinct* coalesced-range size, all
-            // in flight concurrently, sharing one backed-off deadline.
-            // Stalled pipelines shed uniform chunk-sized residuals, so
-            // equal-size ranges are the common case — reuse the last
-            // solve instead of re-running the share system per range.
-            let mut handles: Vec<(TransferHandle, usize)> = Vec::with_capacity(pending.len());
-            let mut worst: Secs = 0.0;
-            let mut memo: Option<(usize, Arc<TransferPlan>)> = None;
-            for r in &pending {
-                let plan = match &memo {
-                    Some((bytes, plan)) if *bytes == r.bytes => plan.clone(),
-                    _ => {
-                        let plan = Arc::new(self.planner().compute_with_params(
-                            r.bytes,
-                            &survivors,
-                            params.clone(),
-                        ));
-                        report.replans += 1;
-                        self.resilience().replans.fetch_add(1, Ordering::Relaxed);
-                        memo = Some((r.bytes, plan.clone()));
-                        plan
-                    }
-                };
-                worst = worst.max(plan.predicted_time);
-                report.recovered_bytes += r.bytes as u64;
-                let seq = self.next_seq();
-                let mut h = execute_plan_at_obs(
-                    self.runtime(),
-                    &plan,
-                    &survivors,
-                    src,
-                    r.offset,
-                    dst,
-                    r.offset,
-                    seq,
-                    &[],
-                    obs.clone(),
-                );
-                h.remap_path_indices(&orig_idx);
-                handles.push((h, r.offset));
-            }
+            // One residual plan per run of equal-size coalesced ranges,
+            // all in flight concurrently, sharing one backed-off deadline.
+            let resend = self.issue_residuals(&pending, &live, params, src, dst)?;
+            report.replans += resend.solves;
+            self.resilience()
+                .replans
+                .fetch_add(resend.solves, Ordering::Relaxed);
+            report.recovered_bytes += total_bytes(&pending);
             let deadline =
-                DeadlinePolicy::new(slack, rcfg.min_deadline).deadline(thread.now(), worst);
-            let mut next: Vec<Range> = Vec::new();
-            for (h, base) in &handles {
-                if h.wait_deadline(thread, deadline).is_err() {
+                DeadlinePolicy::new(slack, rcfg.min_deadline).deadline(thread.now(), resend.worst);
+            pending = self.settle(
+                thread,
+                pair,
+                &all_paths,
+                &resend.handles,
+                deadline,
+                "deadline-miss",
+                |h| {
                     self.resilience().timeouts.fetch_add(1, Ordering::Relaxed);
-                    for s in h.unfinished() {
-                        self.health_path_failure(
-                            pair,
-                            s.path_index,
-                            &all_paths[s.path_index],
-                            "deadline-miss",
-                        );
-                    }
                     self.anomaly_signal(
                         mpx_obs::TriggerClass::DeadlineMissBurst,
-                        Some(&format!("{}->{}", src.device(), dst.device())),
+                        Some(&label),
                         h.unfinished().first().map(|s| s.path_index),
                         &format!("retry round{round} slack={slack:.1}"),
                     );
-                    next.extend(residuals_of(h, *base));
-                } else {
-                    self.health_mark_success(pair, h);
-                }
-            }
-            pending = coalesce(next);
+                },
+            );
         }
 
         // Feed the observation back so the cache notices drift (a

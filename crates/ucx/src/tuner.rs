@@ -35,6 +35,9 @@ pub fn manual_plan(
     shares: &[f64],
     cfg: &PlannerConfig,
 ) -> Result<TransferPlan, TopologyError> {
+    if n == 0 {
+        return Err(TopologyError::InvalidLength(0));
+    }
     if paths.len() != shares.len() {
         return Err(TopologyError::ShareCountMismatch {
             paths: paths.len(),

@@ -275,9 +275,10 @@ fn main() {
         }
         "fault-plan" => {
             let planner = Planner::new(topo.clone());
-            let (plan, paths) = planner
-                .plan_excluding(src, dst, n, sel, &[])
-                .unwrap_or_else(|e| die(&e.to_string()));
+            let (plan, paths) =
+                multipath_gpu::topo::path::enumerate_paths_auto(&topo, src, dst, sel)
+                    .and_then(|paths| Ok((planner.compute(n, &paths)?, paths)))
+                    .unwrap_or_else(|e| die(&e.to_string()));
             // A link a staged path forwards over, so killing it leaves
             // survivors; falls back to the direct link when the
             // selection has no staged path.
